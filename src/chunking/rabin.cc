@@ -54,7 +54,7 @@ RabinWindow::RabinWindow(uint32_t windowSize, uint64_t poly)
   shift_ = k - 8;
   // appendTable_[j] folds the top byte j (about to overflow past degree k)
   // back into the fingerprint: T[j] = (j << k) mod poly, with the raw shifted
-  // bits OR-ed in so append8 can use a single xor.
+  // bits OR-ed in so append() can use a single xor.
   const uint64_t t1 = polyMod(0, 1ULL << k, poly_);
   for (uint64_t j = 0; j < 256; ++j) {
     appendTable_[j] = polyMulMod(j, t1, poly_) | (j << k);
@@ -63,21 +63,17 @@ RabinWindow::RabinWindow(uint32_t windowSize, uint64_t poly)
   // the oldest byte still has in the fingerprint at the moment it leaves the
   // window (it entered windowSize-1 appends ago).
   uint64_t sizeshift = 1;
-  for (uint32_t i = 1; i < windowSize; ++i) sizeshift = append8(sizeshift, 0);
+  for (uint32_t i = 1; i < windowSize; ++i) sizeshift = append(sizeshift, 0);
   for (uint64_t b = 0; b < 256; ++b) {
     expireTable_[b] = polyMulMod(b, sizeshift, poly_);
   }
-}
-
-uint64_t RabinWindow::append8(uint64_t fp, uint8_t b) const {
-  return ((fp << 8) | b) ^ appendTable_[fp >> shift_];
 }
 
 uint64_t RabinWindow::slide(uint8_t in) {
   const uint8_t out = buf_[pos_];
   buf_[pos_] = in;
   pos_ = (pos_ + 1) % buf_.size();
-  fp_ = append8(fp_ ^ expireTable_[out], in);
+  fp_ = roll(fp_, out, in);
   return fp_;
 }
 

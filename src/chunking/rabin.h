@@ -5,6 +5,13 @@
 // the last `window` bytes is fingerprinted as a polynomial modulo a fixed
 // irreducible polynomial; appending a byte and expiring the oldest byte are
 // both O(1) via precomputed tables.
+//
+// The fingerprint is exactly the window's polynomial reduced mod the
+// polynomial, so it depends on the last `window` bytes only, and a zero byte
+// contributes nothing: append(0, 0) == 0 and expiring a zero byte is a no-op.
+// A freshly reset window (all zeros, fingerprint 0) therefore behaves as if
+// hashing began at the next byte, which is what lets the CDC scan kernel
+// (cdc_chunker.cc) skip the bytes of a chunk that no cut decision can see.
 #pragma once
 
 #include <cstdint>
@@ -39,14 +46,24 @@ class RabinWindow {
   /// Resets the window to all-zero bytes and fingerprint 0.
   void reset();
 
+  /// Stateless forms of slide() for scan kernels that read the window's
+  /// bytes straight from their input instead of this object's ring buffer.
+  /// append() shifts `in` into `fp` with nothing expiring (the byte leaving
+  /// is zero); roll() also expires `out`, the byte that entered
+  /// windowSize() appends earlier. slide(in) == roll(fp, oldest, in).
+  [[nodiscard]] uint64_t append(uint64_t fp, uint8_t in) const {
+    return ((fp << 8) | in) ^ appendTable_[fp >> shift_];
+  }
+  [[nodiscard]] uint64_t roll(uint64_t fp, uint8_t out, uint8_t in) const {
+    return append(fp ^ expireTable_[out], in);
+  }
+
   [[nodiscard]] uint64_t fingerprint() const { return fp_; }
   [[nodiscard]] uint32_t windowSize() const {
     return static_cast<uint32_t>(buf_.size());
   }
 
  private:
-  uint64_t append8(uint64_t fp, uint8_t b) const;
-
   uint64_t poly_;
   int shift_;
   uint64_t appendTable_[256];

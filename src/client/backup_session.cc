@@ -36,8 +36,8 @@ struct BackupMetrics {
   }
 };
 
-/// Ciphertexts in flight on the parallel paths: encryption runs at most this
-/// many chunks ahead of the serial store loop, bounding extra memory to
+/// Chunks per encrypt window on the parallel MLE path: at most two windows
+/// (one encrypting, one filling) are buffered, bounding extra memory to
 /// O(window * chunk size) regardless of object size. Matches the historic
 /// one-shot window so parallel grouping is identical (the outcome does not
 /// depend on it — encryption is pure and the store order is fixed).
@@ -52,6 +52,15 @@ struct EncryptedChunk {
 };
 
 }  // namespace
+
+/// One full window of the parallel MLE path and its encryption, running on
+/// the pool. `range` is declared last so it is destroyed (and waited for)
+/// before the buffers its blocks write into.
+struct BackupSession::MleBatch {
+  std::vector<ByteVec> plain;
+  std::vector<EncryptedChunk> encrypted;
+  PendingRange range;
+};
 
 std::vector<size_t> scrambleOrder(size_t recordCount,
                                   std::span<const Segment> segments,
@@ -109,8 +118,9 @@ BackupOutcome BackupSession::finish() {
   if (segmenter_) {
     segmenter_->finish();  // closes the open segment
     FDD_CHECK_MSG(segChunks_.empty(), "segment buffer not drained");
-  } else if (!mleWindow_.empty()) {
-    encryptMleWindow();
+  } else {
+    if (!mleWindow_.empty()) submitMleWindow();
+    storeMleInFlight();
   }
   outcome_.fileRecipe.fileName = name_;
   outcome_.fileRecipe.fileSize = bytesAppended_;
@@ -158,7 +168,7 @@ void BackupSession::onChunk(ByteView chunk) {
   // serial (one ciphertext in flight, no window buffering).
   if (client_->options_.parallelism > 1) {
     mleWindow_.emplace_back(chunk.begin(), chunk.end());
-    if (mleWindow_.size() == kEncryptWindowChunks) encryptMleWindow();
+    if (mleWindow_.size() == kEncryptWindowChunks) submitMleWindow();
     return;
   }
 
@@ -173,25 +183,37 @@ void BackupSession::onChunk(ByteView chunk) {
   outcome_.keyRecipe.keys.push_back(key);
 }
 
-void BackupSession::encryptMleWindow() {
-  const size_t count = mleWindow_.size();
-  std::vector<EncryptedChunk> window(count);
-  parallelForShared(*client_->pool_, count, [&](size_t begin, size_t end) {
-    for (size_t k = begin; k < end; ++k) {
-      const Fp plainFp = fpOfContent(mleWindow_[k]);
-      const AesKey key = client_->keyManager_->deriveChunkKey(plainFp);
-      ByteVec cipher = MleScheme::encryptWithKey(key, mleWindow_[k]);
-      const Fp cipherFp = fpOfContent(cipher);
-      window[k] = {key, std::move(cipher), cipherFp, plainFp};
-    }
-  });
-  for (const EncryptedChunk& e : window) {
+void BackupSession::submitMleWindow() {
+  storeMleInFlight();
+  auto batch = std::make_unique<MleBatch>();
+  batch->plain = std::move(mleWindow_);
+  mleWindow_.clear();
+  batch->encrypted.resize(batch->plain.size());
+  const KeyManager* keyManager = client_->keyManager_;
+  batch->range = startParallelForShared(
+      *client_->pool_, batch->plain.size(),
+      [b = batch.get(), keyManager](size_t begin, size_t end) {
+        for (size_t k = begin; k < end; ++k) {
+          const Fp plainFp = fpOfContent(b->plain[k]);
+          const AesKey key = keyManager->deriveChunkKey(plainFp);
+          ByteVec cipher = MleScheme::encryptWithKey(key, b->plain[k]);
+          const Fp cipherFp = fpOfContent(cipher);
+          b->encrypted[k] = {key, std::move(cipher), cipherFp, plainFp};
+        }
+      });
+  mleInFlight_ = std::move(batch);
+}
+
+void BackupSession::storeMleInFlight() {
+  if (!mleInFlight_) return;
+  const std::unique_ptr<MleBatch> batch = std::move(mleInFlight_);
+  batch->range.wait();  // rethrows a worker's exception
+  for (const EncryptedChunk& e : batch->encrypted) {
     storeChunk(e.cipherFp, e.cipher);
     outcome_.fileRecipe.entries.push_back(
         {e.cipherFp, static_cast<uint32_t>(e.cipher.size()), e.plainFp});
     outcome_.keyRecipe.keys.push_back(e.key);
   }
-  mleWindow_.clear();
 }
 
 void BackupSession::onSegment(const Segment& seg) {

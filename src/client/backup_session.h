@@ -6,13 +6,26 @@
 // every append granularity, for every scheme and parallelism level:
 //  - chunk boundaries come from the chunker's incremental ChunkStream, which
 //    is byte-equivalent to Chunker::split();
-//  - MLE encrypts chunk by chunk (a bounded window of chunks when parallel);
+//  - MLE encrypts chunk by chunk (a bounded window of chunks when parallel,
+//    see "Encrypt overlap" below);
 //  - MinHash(+scrambling) buffers exactly one open segment of plaintext
 //    chunks, closing segments with the same Sparse-Indexing rule as the
 //    batch segmenter (StreamSegmenter) and consuming the scramble Rng in the
 //    same per-segment order as Algorithm 5.
 // Peak client-side memory is therefore O(segment bytes + encrypt window),
 // independent of object size: arbitrarily large objects stream through.
+//
+// Encrypt overlap (MLE, parallelism > 1): chunking runs on the caller's
+// thread and fills a window of kEncryptWindowChunks plaintext chunks. A full
+// window is handed to the client's worker pool to be fingerprinted, keyed
+// and encrypted in the background while the caller chunks the next one. At
+// most one window is in flight: when the next window fills (or at finish()),
+// the caller waits for the in-flight window, stores its chunks serially and
+// in order, and only then hands the new window to the pool. So putChunk
+// order, recipes and container bytes are exactly those of the serial path,
+// and the session holds at most two windows (one encrypting, one filling).
+// The destructor drains an in-flight window; a worker's exception surfaces
+// from the append() or finish() that waits for it.
 //
 // Sessions are vended by DedupClient (see dedup_client.h) and are not
 // thread-safe individually, but distinct sessions of one client may run
@@ -102,7 +115,10 @@ class BackupSession {
   void onChunk(ByteView chunk);
   void onSegment(const Segment& seg);
   void storeChunk(Fp cipherFp, ByteView cipher);
-  void encryptMleWindow();
+  /// Hands the filling window to the pool, after storing the in-flight one.
+  void submitMleWindow();
+  /// Waits for the in-flight window, if any, and stores its chunks in order.
+  void storeMleInFlight();
 
   DedupClient* client_;
   std::string name_;
@@ -112,8 +128,11 @@ class BackupSession {
 
   std::unique_ptr<ChunkStream> stream_;
 
-  // MLE parallel path: plaintext chunks of the current encrypt window.
+  // MLE parallel path: plaintext chunks of the window being filled, and the
+  // window encrypting on the pool (null when none is in flight).
+  struct MleBatch;
   std::vector<ByteVec> mleWindow_;
+  std::unique_ptr<MleBatch> mleInFlight_;
 
   // MinHash path: plaintext chunks and records of the open segment (plus at
   // most one record the segmenter has deferred to the next segment).

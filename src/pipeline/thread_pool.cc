@@ -86,6 +86,77 @@ void parallelFor(ThreadPool& pool, size_t n,
   pool.wait();
 }
 
+struct PendingRange::State {
+  std::function<void(size_t, size_t)> body;
+  std::mutex mu;
+  std::condition_variable done;
+  size_t remaining = 0;
+  std::exception_ptr error;
+};
+
+PendingRange& PendingRange::operator=(PendingRange&& other) noexcept {
+  if (this != &other) {
+    waitQuietly();
+    state_ = std::move(other.state_);
+  }
+  return *this;
+}
+
+PendingRange::~PendingRange() { waitQuietly(); }
+
+void PendingRange::wait() {
+  if (!state_) return;
+  const std::shared_ptr<State> state = std::move(state_);
+  std::unique_lock lock(state->mu);
+  state->done.wait(lock, [&state] { return state->remaining == 0; });
+  if (state->error) std::rethrow_exception(state->error);
+}
+
+void PendingRange::waitQuietly() noexcept {
+  try {
+    wait();
+  } catch (...) {  // the owner is going away; nobody is left to tell
+  }
+}
+
+PendingRange startParallelForShared(ThreadPool& pool, size_t n,
+                                    std::function<void(size_t, size_t)> body) {
+  PendingRange range;
+  if (n == 0) return range;
+  const size_t blocks = std::min(n, pool.threadCount() * 4);
+  const size_t blockSize = (n + blocks - 1) / blocks;
+
+  // Per-range completion latch: concurrent callers each wait only for their
+  // own blocks, never for the pool to drain.
+  const auto state = std::make_shared<PendingRange::State>();
+  state->body = std::move(body);
+  state->remaining = (n + blockSize - 1) / blockSize;
+  range.state_ = state;
+
+  for (size_t begin = 0; begin < n; begin += blockSize) {
+    const size_t end = std::min(n, begin + blockSize);
+    const bool accepted = pool.submit([state, begin, end] {
+      std::exception_ptr error;
+      try {
+        state->body(begin, end);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      std::lock_guard lock(state->mu);
+      if (error && !state->error) state->error = error;
+      if (--state->remaining == 0) state->done.notify_all();
+    });
+    if (!accepted) {
+      // This block and the ones after it never run: settle them, so the
+      // range's destructor waits only for the blocks already submitted.
+      std::lock_guard lock(state->mu);
+      state->remaining -= (n - begin + blockSize - 1) / blockSize;
+    }
+    FDD_CHECK_MSG(accepted, "parallelForShared on a shut-down pool");
+  }
+  return range;
+}
+
 void parallelForShared(ThreadPool& pool, size_t n,
                        const std::function<void(size_t, size_t)>& body) {
   if (n == 0) return;
@@ -93,38 +164,7 @@ void parallelForShared(ThreadPool& pool, size_t n,
     body(0, 1);
     return;
   }
-  const size_t blocks = std::min(n, pool.threadCount() * 4);
-  const size_t blockSize = (n + blocks - 1) / blocks;
-
-  // Per-call completion latch: concurrent callers each wait only for their
-  // own blocks, never for the pool to drain.
-  struct Sync {
-    std::mutex mu;
-    std::condition_variable done;
-    size_t remaining = 0;
-    std::exception_ptr error;
-  } sync;
-  sync.remaining = (n + blockSize - 1) / blockSize;
-
-  for (size_t begin = 0; begin < n; begin += blockSize) {
-    const size_t end = std::min(n, begin + blockSize);
-    const bool accepted = pool.submit([&sync, &body, begin, end] {
-      std::exception_ptr error;
-      try {
-        body(begin, end);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      std::lock_guard lock(sync.mu);
-      if (error && !sync.error) sync.error = error;
-      if (--sync.remaining == 0) sync.done.notify_all();
-    });
-    FDD_CHECK_MSG(accepted, "parallelForShared on a shut-down pool");
-  }
-
-  std::unique_lock lock(sync.mu);
-  sync.done.wait(lock, [&sync] { return sync.remaining == 0; });
-  if (sync.error) std::rethrow_exception(sync.error);
+  startParallelForShared(pool, n, body).wait();
 }
 
 void parallelFor(ThreadPool* pool, size_t threads, size_t n,

@@ -9,6 +9,7 @@
 #include <condition_variable>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -73,6 +74,38 @@ void parallelFor(ThreadPool& pool, size_t n,
 /// down while calls are in flight.
 void parallelForShared(ThreadPool& pool, size_t n,
                        const std::function<void(size_t, size_t)>& body);
+
+/// A parallelForShared range running in the background, as returned by
+/// startParallelForShared. wait() blocks until every block has finished,
+/// then rethrows the first exception the body threw; the destructor (and a
+/// move-assignment over a pending range) waits too, discarding any
+/// exception, so no block outlives its handle. A default-constructed or
+/// already-waited range has nothing pending.
+class PendingRange {
+ public:
+  PendingRange() = default;
+  PendingRange(PendingRange&&) noexcept = default;
+  PendingRange& operator=(PendingRange&& other) noexcept;
+  ~PendingRange();
+
+  void wait();
+  [[nodiscard]] bool pending() const { return state_ != nullptr; }
+
+ private:
+  friend PendingRange startParallelForShared(
+      ThreadPool& pool, size_t n, std::function<void(size_t, size_t)> body);
+  struct State;
+
+  void waitQuietly() noexcept;
+
+  std::shared_ptr<State> state_;
+};
+
+/// Submits body(begin, end) over sub-ranges of [0, n) to `pool`, exactly as
+/// parallelForShared does, but returns without waiting. The body is owned
+/// by the returned range; whatever it references must outlive the range.
+[[nodiscard]] PendingRange startParallelForShared(
+    ThreadPool& pool, size_t n, std::function<void(size_t, size_t)> body);
 
 /// Pool-or-spawn dispatch: reuses `pool` when one is provided, otherwise
 /// spawns `threads` workers for this call. Lets components accept an

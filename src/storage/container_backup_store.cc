@@ -845,11 +845,24 @@ GcStats ContainerBackupStore::collectGarbage() {
   auto byContainer = chunkEntriesByContainerLocked();
 
   // Phase 1: copy live chunks out of every container that holds dead ones.
+  // The index map has no order, so visit the doomed containers in ascending
+  // id and each one's live chunks in entry order: relocated chunks keep the
+  // order they were written in, and a retained backup's chunks stay
+  // contiguous in the new containers instead of scattering a little more
+  // with every GC.
   std::vector<uint32_t> doomed;
-  for (auto& [id, entries] : byContainer) {
-    bool anyDead = false;
-    for (const auto& [fp, e] : entries) anyDead |= e.refs == 0;
-    if (!anyDead) continue;
+  for (const auto& [id, entries] : byContainer) {
+    if (std::any_of(entries.begin(), entries.end(),
+                    [](const auto& entry) { return entry.second.refs == 0; }))
+      doomed.push_back(id);
+  }
+  std::sort(doomed.begin(), doomed.end());
+  for (const uint32_t id : doomed) {
+    auto& entries = byContainer[id];
+    std::sort(entries.begin(), entries.end(),
+              [](const auto& a, const auto& b) {
+                return a.second.entryIndex < b.second.entryIndex;
+              });
     const auto container = loadContainerLocked(id);
     for (const auto& [fp, e] : entries) {
       if (e.refs == 0) continue;
@@ -867,7 +880,6 @@ GcStats ContainerBackupStore::collectGarbage() {
                        e.refs);
       ++gc.chunksRelocated;
     }
-    doomed.push_back(id);
   }
 
   // Phase 2: persist the relocations before anything is deleted.

@@ -176,6 +176,35 @@ TEST(DedupClient, CommitRestoreDeleteLifecycle) {
   EXPECT_THROW((void)reader.beginRestore("doc", userKey), std::runtime_error);
 }
 
+TEST(DedupClient, AbandonedParallelSessionDrainsItsInFlightWindow) {
+  // At parallelism > 1 a full MLE window encrypts on the pool while the
+  // caller chunks on; a session destroyed mid-object must wait for that
+  // window before its buffers go away, and leave the client usable.
+  MemBackupStore store;
+  KeyManager km(toBytes("abandon-secret"));
+  CdcChunker chunker(smallCdc());  // ~1.3 KiB chunks: ~1.3 MiB per window
+  BackupOptions options;
+  options.parallelism = 4;
+  DedupClient client(store, km, chunker, options);
+  const ByteVec content = randomContent(21, 4 << 20);
+
+  {
+    BackupSession abandoned = client.beginBackup("abandoned");
+    for (size_t off = 0; off < content.size(); off += 256 * 1024)
+      abandoned.append(ByteView(content).subspan(off, 256 * 1024));
+  }  // destroyed without finish()
+  const uint64_t storedByAbandoned = store.stats().uniqueChunks;
+  EXPECT_GT(storedByAbandoned, 0u);  // the windows before the last one
+
+  BackupSession session = client.beginBackup("whole");
+  session.append(content);
+  const BackupOutcome outcome = session.finish();
+  EXPECT_EQ(outcome.duplicateChunks, storedByAbandoned);
+  EXPECT_EQ(client.beginRestore(outcome.fileRecipe, outcome.keyRecipe)
+                .readAll(),
+            content);
+}
+
 TEST(DedupClient, EmptyObjectRoundTrips) {
   MemBackupStore store;
   KeyManager km(toBytes("empty-secret"));

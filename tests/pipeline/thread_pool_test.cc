@@ -198,5 +198,56 @@ TEST(ParallelForShared, HandlesEmptyAndTinyRanges) {
   EXPECT_EQ(calls, 1);
 }
 
+TEST(StartParallelForShared, RunsInTheBackgroundUntilWaited) {
+  // The caller keeps going while the range runs: the blocks are held at a
+  // gate the caller opens only after startParallelForShared returned.
+  ThreadPool pool(2);
+  std::atomic<bool> open{false};
+  std::atomic<size_t> covered{0};
+  PendingRange range = startParallelForShared(
+      pool, 100, [&](size_t begin, size_t end) {
+        while (!open.load()) std::this_thread::yield();
+        covered += end - begin;
+      });
+  EXPECT_TRUE(range.pending());
+  open = true;
+  range.wait();
+  EXPECT_FALSE(range.pending());
+  EXPECT_EQ(covered.load(), 100u);
+  range.wait();  // nothing pending: a no-op
+}
+
+TEST(StartParallelForShared, WaitRethrowsAndDestructorDrainsQuietly) {
+  ThreadPool pool(4);
+  PendingRange failing = startParallelForShared(
+      pool, 64, [](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i)
+          if (i == 40) throw std::runtime_error("worker failed");
+      });
+  EXPECT_THROW(failing.wait(), std::runtime_error);
+
+  // A range dropped without wait() still finishes every block before the
+  // destructor returns, and swallows the error it has nobody to give to.
+  std::atomic<size_t> covered{0};
+  {
+    PendingRange dropped = startParallelForShared(
+        pool, 64, [&](size_t begin, size_t end) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          covered += end - begin;
+          if (begin == 0) throw std::runtime_error("nobody listens");
+        });
+  }
+  EXPECT_EQ(covered.load(), 64u);
+
+  // Move-assigning over a pending range drains it first.
+  covered = 0;
+  PendingRange range = startParallelForShared(
+      pool, 32, [&](size_t begin, size_t end) { covered += end - begin; });
+  range = startParallelForShared(
+      pool, 32, [&](size_t begin, size_t end) { covered += end - begin; });
+  range.wait();
+  EXPECT_EQ(covered.load(), 64u);
+}
+
 }  // namespace
 }  // namespace freqdedup

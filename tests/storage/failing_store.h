@@ -2,7 +2,8 @@
 //
 // Wraps any BackupStore and forwards every operation; the read path
 // (getChunk / getChunks) can be made to fail, corrupt or delay the Nth
-// chunk read, counted 1-based across both entry points. All injection state
+// chunk read, counted 1-based across both entry points, or to fail every
+// read of one fingerprint. All injection state
 // is atomic, so the wrapper is as thread-safe as the store it decorates —
 // concurrent restore sessions can run through it, and the concurrency
 // high-water mark records how many chunk-fetching calls overlapped (the
@@ -27,6 +28,14 @@ class FailingStore : public BackupStore {
   /// The Nth chunk read throws std::runtime_error("injected read failure").
   void failReadAt(uint64_t n) { failAt_.store(n); }
 
+  /// Every read of `cipherFp` throws std::runtime_error("injected read
+  /// failure"), whichever read it is — unlike failReadAt, independent of the
+  /// order in which concurrent prefetches reach the store.
+  void failReadOf(Fp cipherFp) {
+    failFp_.store(cipherFp);
+    failFpArmed_.store(true);
+  }
+
   /// The Nth chunk read returns its bytes with one bit flipped.
   void corruptReadAt(uint64_t n) { corruptAt_.store(n); }
 
@@ -35,6 +44,7 @@ class FailingStore : public BackupStore {
 
   void resetInjection() {
     failAt_.store(0);
+    failFpArmed_.store(false);
     corruptAt_.store(0);
     delayMs_.store(0);
   }
@@ -53,7 +63,7 @@ class FailingStore : public BackupStore {
     const ReadScope scope(*this);
     maybeDelay();
     ByteVec bytes = inner_->getChunk(cipherFp);
-    injectInto(bytes);
+    injectInto(cipherFp, bytes);
     return bytes;
   }
 
@@ -61,7 +71,8 @@ class FailingStore : public BackupStore {
     const ReadScope scope(*this);
     maybeDelay();
     std::vector<ByteVec> batch = inner_->getChunks(cipherFps);
-    for (ByteVec& bytes : batch) injectInto(bytes);
+    for (size_t i = 0; i < batch.size(); ++i)
+      injectInto(cipherFps[i], batch[i]);
     return batch;
   }
 
@@ -140,10 +151,11 @@ class FailingStore : public BackupStore {
     if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
   }
 
-  /// Applies the per-chunk injection counter to one served chunk.
-  void injectInto(ByteVec& bytes) {
+  /// Applies the per-chunk injections to one served chunk.
+  void injectInto(Fp cipherFp, ByteVec& bytes) {
     const uint64_t n = ++reads_;
-    if (n == failAt_.load())
+    if (n == failAt_.load() ||
+        (failFpArmed_.load() && cipherFp == failFp_.load()))
       throw std::runtime_error("injected read failure");
     if (n == corruptAt_.load() && !bytes.empty()) bytes[bytes.size() / 2] ^= 1;
   }
@@ -151,6 +163,8 @@ class FailingStore : public BackupStore {
   BackupStore* inner_;
   std::atomic<uint64_t> reads_{0};
   std::atomic<uint64_t> failAt_{0};
+  std::atomic<Fp> failFp_{0};
+  std::atomic<bool> failFpArmed_{false};
   std::atomic<uint64_t> corruptAt_{0};
   std::atomic<int64_t> delayMs_{0};
   mutable std::atomic<uint64_t> concurrent_{0};

@@ -123,7 +123,10 @@ TEST_P(FailingStoreRestore, FailureOnVeryFirstReadDeliversNothing) {
 
   RestoreSession restore =
       client.beginRestore(outcome.fileRecipe, outcome.keyRecipe);
-  failing_.failReadAt(failing_.chunkReadCount() + 1);
+  // Fail the recipe's first chunk itself, not whichever read comes first:
+  // at parallelism > 1 the prefetcher may legitimately fetch a later batch
+  // before the first one.
+  failing_.failReadOf(outcome.fileRecipe.entries.front().cipherFp);
   ByteVec collected;
   EXPECT_THROW(
       restore.streamTo([&](ByteView b) { appendBytes(collected, b); }),
