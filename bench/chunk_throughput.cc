@@ -1,15 +1,23 @@
-// Throughput of the CDC scan kernel against the frozen ring-buffer Rabin
-// loop it replaced (tests/chunking/cdc_reference.h), on one thread.
+// Single-thread throughput of two ingest/restore kernels against the frozen
+// loops they replaced:
+//  - the CDC scan kernel against the ring-buffer Rabin loop
+//    (tests/chunking/cdc_reference.h);
+//  - the dispatched CRC-32C kernel (common/crc32.h) against the
+//    byte-at-a-time table loop (bench/crc32c_reference.h).
 //
 //   chunk_throughput [--mb M] [--reps R] [--json PATH]
 //
 // Chunks M MiB (default 256) of random bytes with the default CdcParams
 // three ways: the reference loop, CdcChunker::split(), and a ChunkStream fed
-// in 1 MiB pushes (the session client's append size). Each is timed R times
-// (default 3), interleaved, and the fastest pass is reported. The bench
-// aborts (exit 1) unless all three produce exactly the same boundaries.
-// --json writes BENCH_ingest.json (default path) with the MB/s of each
-// (MB = 1e6 bytes) and the after/before ratios; the ratios are what CI
+// in 1 MiB pushes (the session client's append size). Then CRCs the same
+// bytes: the reference loop, the dispatched kernel and its single-chain
+// form in 1 MiB calls (a wire frame), and the dispatched kernel in 8 KiB
+// calls (a chunk payload, what the block cache checks). Each is timed R
+// times (default 3), interleaved, and the fastest pass is reported. The
+// bench aborts (exit 1) unless all chunkers produce exactly the same
+// boundaries and all CRC passes the same checksum. --json writes
+// BENCH_ingest.json (default path) with the MB/s of each (MB = 1e6 bytes),
+// the after/before ratios and the CRC kernel's name; the ratios are what CI
 // gates on, since absolute MB/s depends on the machine.
 #include <algorithm>
 #include <cstdio>
@@ -19,7 +27,9 @@
 
 #include "cdc_reference.h"
 #include "chunking/cdc_chunker.h"
+#include "common/crc32.h"
 #include "common/rng.h"
+#include "crc32c_reference.h"
 #include "expcommon.h"
 
 namespace freqdedup {
@@ -55,6 +65,30 @@ void timeOnce(Timed& t, F&& run) {
   t.spans = std::move(spans);
 }
 
+using ExtendFn = uint32_t (*)(uint32_t, ByteView);
+
+struct TimedCrc {
+  double bestSeconds = 0;
+  bool timed = false;
+  uint32_t crc = 0;
+};
+
+/// CRCs `data` as consecutive `pieceBytes` calls chained through `extend`,
+/// so the result is the CRC of the whole buffer whatever the piece size.
+void timeCrc(TimedCrc& t, ByteView data, size_t pieceBytes, ExtendFn extend) {
+  exp::Stopwatch watch;
+  uint32_t crc = 0;
+  for (size_t off = 0; off < data.size(); off += pieceBytes)
+    crc = extend(crc, data.subspan(off, std::min(pieceBytes, data.size() - off)));
+  const double s = watch.elapsedSeconds();
+  if (!t.timed || s < t.bestSeconds) t.bestSeconds = s;
+  t.timed = true;
+  t.crc = crc;
+}
+
+constexpr size_t kFrameBytes = size_t{1} << 20;
+constexpr size_t kChunkBytes = size_t{8} << 10;
+
 }  // namespace
 }  // namespace freqdedup
 
@@ -87,6 +121,20 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  TimedCrc crcReference, crcFrame, crcSingle, crcChunk;
+  for (long r = 0; r < reps; ++r) {
+    timeCrc(crcReference, data, kFrameBytes, reference::crc32cExtend);
+    timeCrc(crcFrame, data, kFrameBytes, crc32cExtend);
+    timeCrc(crcSingle, data, kFrameBytes, detail::crc32cExtendSingleStream);
+    timeCrc(crcChunk, data, kChunkBytes, crc32cExtend);
+  }
+  for (const TimedCrc* t : {&crcFrame, &crcSingle, &crcChunk}) {
+    if (t->crc != crcReference.crc) {
+      fprintf(stderr, "ERROR: CRC-32C differs from the reference loop\n");
+      return 1;
+    }
+  }
+
   const auto mbps = [&](const Timed& t) {
     return exp::throughputMBps(data.size(), t.bestSeconds);
   };
@@ -103,6 +151,26 @@ int main(int argc, char** argv) {
                  exp::fmtDouble(splitMBps / refMBps)});
   exp::printRow({"stream 1MiB", exp::fmtDouble(streamMBps, 1),
                  exp::fmtDouble(streamMBps / refMBps)});
+
+  const auto crcMBps = [&](const TimedCrc& t) {
+    return exp::throughputMBps(data.size(), t.bestSeconds);
+  };
+  const double crcRefMBps = crcMBps(crcReference);
+  const double crcFrameMBps = crcMBps(crcFrame);
+  const double crcSingleMBps = crcMBps(crcSingle);
+  const double crcChunkMBps = crcMBps(crcChunk);
+  exp::printTitle("chunk_throughput",
+                  std::string("CRC-32C in 1 MiB calls, kernel ") +
+                      crc32cImplementation() +
+                      ", best of " + std::to_string(reps));
+  exp::printRow({"path", "MB/s", "vs reference"});
+  exp::printRow({"reference", exp::fmtDouble(crcRefMBps, 1), "1.00"});
+  exp::printRow({"kernel", exp::fmtDouble(crcFrameMBps, 1),
+                 exp::fmtDouble(crcFrameMBps / crcRefMBps)});
+  exp::printRow({"one chain", exp::fmtDouble(crcSingleMBps, 1),
+                 exp::fmtDouble(crcSingleMBps / crcRefMBps)});
+  exp::printRow({"kernel 8KiB", exp::fmtDouble(crcChunkMBps, 1),
+                 exp::fmtDouble(crcChunkMBps / crcRefMBps)});
 
   FILE* f = fopen(jsonPath.c_str(), "w");
   if (f == nullptr) {
@@ -122,7 +190,16 @@ int main(int argc, char** argv) {
   fprintf(f, "  \"after_split_mb_s\": %.1f,\n", splitMBps);
   fprintf(f, "  \"after_stream_1mib_mb_s\": %.1f,\n", streamMBps);
   fprintf(f, "  \"split_ratio\": %.2f,\n", splitMBps / refMBps);
-  fprintf(f, "  \"stream_ratio\": %.2f\n", streamMBps / refMBps);
+  fprintf(f, "  \"stream_ratio\": %.2f,\n", streamMBps / refMBps);
+  fprintf(f, "  \"crc32c_impl\": \"%s\",\n", crc32cImplementation());
+  fprintf(f, "  \"crc32c_identical\": true,\n");
+  fprintf(f, "  \"crc32c_reference_mb_s\": %.1f,\n", crcRefMBps);
+  fprintf(f, "  \"crc32c_mb_s\": %.1f,\n", crcFrameMBps);
+  fprintf(f, "  \"crc32c_single_stream_mb_s\": %.1f,\n", crcSingleMBps);
+  fprintf(f, "  \"crc32c_8kib_mb_s\": %.1f,\n", crcChunkMBps);
+  fprintf(f, "  \"crc32c_ratio\": %.2f,\n", crcFrameMBps / crcRefMBps);
+  fprintf(f, "  \"crc32c_interleave_ratio\": %.2f\n",
+          crcFrameMBps / crcSingleMBps);
   fprintf(f, "}\n");
   fclose(f);
   return 0;

@@ -47,7 +47,7 @@ uint64_t polyMulMod(uint64_t x, uint64_t y, uint64_t d) {
 }
 
 RabinWindow::RabinWindow(uint32_t windowSize, uint64_t poly)
-    : poly_(poly), buf_(windowSize, 0) {
+    : poly_(poly), windowSize_(windowSize) {
   FDD_CHECK_MSG(windowSize >= 2, "window too small");
   const int k = polyDegree(poly_);
   FDD_CHECK_MSG(k > 8, "polynomial degree must exceed 8");
@@ -67,20 +67,6 @@ RabinWindow::RabinWindow(uint32_t windowSize, uint64_t poly)
   for (uint64_t b = 0; b < 256; ++b) {
     expireTable_[b] = polyMulMod(b, sizeshift, poly_);
   }
-}
-
-uint64_t RabinWindow::slide(uint8_t in) {
-  const uint8_t out = buf_[pos_];
-  buf_[pos_] = in;
-  pos_ = (pos_ + 1) % buf_.size();
-  fp_ = roll(fp_, out, in);
-  return fp_;
-}
-
-void RabinWindow::reset() {
-  std::fill(buf_.begin(), buf_.end(), 0);
-  pos_ = 0;
-  fp_ = 0;
 }
 
 }  // namespace freqdedup

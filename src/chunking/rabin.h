@@ -9,13 +9,12 @@
 // The fingerprint is exactly the window's polynomial reduced mod the
 // polynomial, so it depends on the last `window` bytes only, and a zero byte
 // contributes nothing: append(0, 0) == 0 and expiring a zero byte is a no-op.
-// A freshly reset window (all zeros, fingerprint 0) therefore behaves as if
-// hashing began at the next byte, which is what lets the CDC scan kernel
+// A window of zeros (fingerprint 0) therefore behaves as if hashing began
+// at the next byte, which is what lets the CDC scan kernel
 // (cdc_chunker.cc) skip the bytes of a chunk that no cut decision can see.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/bytes.h"
 
@@ -33,24 +32,18 @@ uint64_t polyMulMod(uint64_t x, uint64_t y, uint64_t d);
 /// Reduces the 128-bit polynomial (hi*2^64 + lo) modulo d.
 uint64_t polyMod(uint64_t hi, uint64_t lo, uint64_t d);
 
-/// Rolling Rabin fingerprint over a fixed-size byte window.
+/// Rolling Rabin fingerprint over a fixed-size byte window. The object
+/// holds only the tables; the fingerprint and the window's bytes belong to
+/// the caller, which reads the expiring byte from its own input (see the
+/// CDC scan kernel in cdc_chunker.cc).
 class RabinWindow {
  public:
   explicit RabinWindow(uint32_t windowSize = 48,
                        uint64_t poly = kDefaultRabinPoly);
 
-  /// Slides one byte into the window (expiring the oldest) and returns the
-  /// updated fingerprint.
-  uint64_t slide(uint8_t in);
-
-  /// Resets the window to all-zero bytes and fingerprint 0.
-  void reset();
-
-  /// Stateless forms of slide() for scan kernels that read the window's
-  /// bytes straight from their input instead of this object's ring buffer.
   /// append() shifts `in` into `fp` with nothing expiring (the byte leaving
   /// is zero); roll() also expires `out`, the byte that entered
-  /// windowSize() appends earlier. slide(in) == roll(fp, oldest, in).
+  /// windowSize() appends earlier. A window starts from fingerprint 0.
   [[nodiscard]] uint64_t append(uint64_t fp, uint8_t in) const {
     return ((fp << 8) | in) ^ appendTable_[fp >> shift_];
   }
@@ -58,19 +51,14 @@ class RabinWindow {
     return append(fp ^ expireTable_[out], in);
   }
 
-  [[nodiscard]] uint64_t fingerprint() const { return fp_; }
-  [[nodiscard]] uint32_t windowSize() const {
-    return static_cast<uint32_t>(buf_.size());
-  }
+  [[nodiscard]] uint32_t windowSize() const { return windowSize_; }
 
  private:
   uint64_t poly_;
   int shift_;
+  uint32_t windowSize_;
   uint64_t appendTable_[256];
   uint64_t expireTable_[256];
-  std::vector<uint8_t> buf_;
-  size_t pos_ = 0;
-  uint64_t fp_ = 0;
 };
 
 }  // namespace freqdedup

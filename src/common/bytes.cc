@@ -67,12 +67,18 @@ ByteVec readFile(const std::string& path) {
 }
 
 void writeFile(const std::string& path, ByteView data) {
+  writeFilePieces(path, {data});
+}
+
+void writeFilePieces(const std::string& path,
+                     std::initializer_list<ByteView> pieces) {
   std::unique_ptr<FILE, decltype(&fclose)> f(fopen(path.c_str(), "wb"),
                                              &fclose);
   if (!f) throw std::runtime_error("writeFile: cannot open " + path);
-  if (!data.empty() &&
-      fwrite(data.data(), 1, data.size(), f.get()) != data.size())
-    throw std::runtime_error("writeFile: short write on " + path);
+  for (const ByteView data : pieces)
+    if (!data.empty() &&
+        fwrite(data.data(), 1, data.size(), f.get()) != data.size())
+      throw std::runtime_error("writeFile: short write on " + path);
 }
 
 void appendBytes(ByteVec& out, ByteView data) {

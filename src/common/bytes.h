@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <string_view>
@@ -29,6 +30,11 @@ ByteVec readFile(const std::string& path);
 
 /// Writes (truncates) a whole file; throws std::runtime_error on failure.
 void writeFile(const std::string& path, ByteView data);
+
+/// Writes (truncates) a file made of `pieces` in order, without first
+/// joining them into one buffer; throws std::runtime_error on failure.
+void writeFilePieces(const std::string& path,
+                     std::initializer_list<ByteView> pieces);
 
 /// Appends 'data' to 'out'.
 void appendBytes(ByteVec& out, ByteView data);

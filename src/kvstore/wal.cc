@@ -470,12 +470,12 @@ Lsn Wal::scan(Lsn from, const std::function<bool(const Record&)>& fn) {
     if (::ftruncate(fd_, static_cast<off_t>(fileOffsetOf(lsn))) != 0)
       throwErrno("ftruncate failed");
   }
+  // syncMu_ before bufMu_, the order writeLeaderGroup and rotate take them
+  // in; the opposite order here could deadlock against a group commit.
+  std::lock_guard syncLock(syncMu_);
   std::lock_guard lock(bufMu_);
   writtenLsn_ = nextLsn_ = lsn;
-  {
-    std::lock_guard syncLock(syncMu_);
-    durableLsn_ = lsn;
-  }
+  durableLsn_ = lsn;
   return lsn;
 }
 

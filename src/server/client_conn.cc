@@ -25,16 +25,15 @@ RemoteDedupClient::RemoteDedupClient(const std::string& address,
                              std::to_string(serverHello_.version));
 }
 
-ByteVec RemoteDedupClient::roundTrip(ByteView requestPayload) {
-  writeFrame(fd_.get(), requestPayload);
-  std::optional<ByteVec> response = readFrame(fd_.get());
-  if (!response)
+ByteView RemoteDedupClient::roundTrip(ByteView head, ByteView tail) {
+  writeFrame(fd_.get(), head, tail);
+  if (!readFrame(fd_.get(), rxBuf_))
     throw std::runtime_error("server closed the connection mid-request");
-  if (peekType(*response) == MsgType::kError) {
-    const ErrorReply err = decodeErrorReply(*response);
+  if (peekType(rxBuf_) == MsgType::kError) {
+    const ErrorReply err = decodeErrorReply(rxBuf_);
     throw RemoteError(err.code, err.message);
   }
-  return std::move(*response);
+  return rxBuf_;
 }
 
 RemoteBackup RemoteDedupClient::openBackup(const std::string& name) {
@@ -49,11 +48,9 @@ void RemoteDedupClient::append(const RemoteBackup& backup, ByteView data) {
   // so callers get a response for every call.
   do {
     const size_t len = std::min(kIoChunkBytes, data.size() - offset);
-    BackupAppend req;
-    req.backupId = backup.id();
-    req.data.assign(data.begin() + static_cast<ptrdiff_t>(offset),
-                    data.begin() + static_cast<ptrdiff_t>(offset + len));
-    decodeOk(roundTrip(encode(req)));
+    const SplitPayload req =
+        encodeBackupAppend(backup.id(), data.subspan(offset, len));
+    decodeOk(roundTrip(req.head, req.data));
     offset += len;
   } while (offset < data.size());
 }
@@ -84,12 +81,11 @@ uint64_t RemoteDedupClient::restore(const std::string& name,
     rangeReq.restoreId = opened.restoreId;
     rangeReq.offset = offset;
     rangeReq.length = kIoChunkBytes;
-    const RestoreData chunk =
-        decodeRestoreData(roundTrip(encode(rangeReq)));
-    if (chunk.data.empty())
+    const ByteView chunk = decodeRestoreDataView(roundTrip(encode(rangeReq)));
+    if (chunk.empty())
       throw std::runtime_error("restore: server returned a short object");
-    sink(chunk.data);
-    offset += chunk.data.size();
+    sink(chunk);
+    offset += chunk.size();
   }
   RestoreClose closeReq;
   closeReq.restoreId = opened.restoreId;

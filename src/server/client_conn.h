@@ -108,11 +108,13 @@ class RemoteDedupClient {
   [[nodiscard]] const HelloOk& serverHello() const { return serverHello_; }
 
  private:
-  /// Sends one request payload and reads one response payload; throws
-  /// RemoteError if the response is an ErrorReply.
-  ByteVec roundTrip(ByteView requestPayload);
+  /// Sends one request payload, `head ++ tail`, and reads one response
+  /// payload; throws RemoteError if the response is an ErrorReply. The
+  /// returned view is into rxBuf_, valid until the next roundTrip().
+  ByteView roundTrip(ByteView head, ByteView tail = {});
 
   Fd fd_;
+  ByteVec rxBuf_;  // response buffer, reused across round trips
   std::string tenant_;
   HelloOk serverHello_;
 };

@@ -78,6 +78,11 @@ struct FreqDedupServer::Conn {
 
   // All fields below are only touched by the single active server thread.
   bool helloDone = false;
+  /// Receive and restore-range buffers reused by every request on this
+  /// connection, so a stream of 1 MiB appends or ranges does not allocate
+  /// one buffer per frame.
+  ByteVec rxBuf;
+  ByteVec txBuf;
   std::string tenant;
   AesKey userKey{};
   /// Seeds the recipe-sealing IV stream. MUST come from OS entropy: a
@@ -280,11 +285,11 @@ void FreqDedupServer::pollLoop() {
 }
 
 void FreqDedupServer::sendReply(const std::shared_ptr<Conn>& conn,
-                                ByteView payload) {
-  writeFrame(conn->fd.get(), payload);
+                                ByteView head, ByteView tail) {
+  writeFrame(conn->fd.get(), head, tail);
   ServerMetrics& m = ServerMetrics::get();
   m.framesTx.add();
-  m.bytesTx.add(payload.size() + kFrameHeaderBytes);
+  m.bytesTx.add(head.size() + tail.size() + kFrameHeaderBytes);
 }
 
 void FreqDedupServer::sendError(const std::shared_ptr<Conn>& conn,
@@ -309,16 +314,16 @@ void FreqDedupServer::markDead(const std::shared_ptr<Conn>& conn) {
 void FreqDedupServer::handleConn(const std::shared_ptr<Conn>& conn) {
   ServerMetrics& m = ServerMetrics::get();
   try {
-    const std::optional<ByteVec> payload = readFrame(conn->fd.get());
-    if (!payload) {  // clean EOF at a frame boundary
+    ByteVec& payload = conn->rxBuf;
+    if (!readFrame(conn->fd.get(), payload)) {  // clean EOF at a boundary
       markDead(conn);
       return;
     }
     m.framesRx.add();
-    m.bytesRx.add(payload->size() + kFrameHeaderBytes);
+    m.bytesRx.add(payload.size() + kFrameHeaderBytes);
     m.requests.add();
     obs::ObsSpan span(&m.requestUs, "server.request", "server");
-    if (dispatch(conn, *payload)) return;  // response deferred
+    if (dispatch(conn, payload)) return;  // response deferred
   } catch (const WireError& e) {
     // Malformed framing: the stream position is unrecoverable, so answer
     // (best effort) and drop the connection.
@@ -405,7 +410,8 @@ bool FreqDedupServer::dispatch(const std::shared_ptr<Conn>& conn,
       }
 
       case MsgType::kBackupAppend: {
-        const BackupAppend req = decodeBackupAppend(payload);
+        // The data stays in the connection's receive buffer.
+        const BackupAppendView req = decodeBackupAppendView(payload);
         const auto it = conn->backups.find(req.backupId);
         if (it == conn->backups.end()) {
           sendError(conn, ErrorCode::kBadRequest, "unknown backup id");
@@ -621,14 +627,17 @@ void FreqDedupServer::handleRestoreRange(const std::shared_ptr<Conn>& conn,
     return;
   }
   RestoreSession& session = it->second.session;
-  RestoreData out;
   const uint64_t len =
       std::min(req.length, static_cast<uint64_t>(kMaxDataBytes));
-  // offset at/past the end streams nothing — an empty range is the clean
-  // EOF signal.
+  // The range is gathered in the connection's reused send buffer and
+  // framed from there without another copy. offset at/past the end streams
+  // nothing — an empty range is the clean EOF signal.
+  ByteVec& out = conn->txBuf;
+  out.clear();
   session.streamRange(req.offset, len,
-                      [&out](ByteView bytes) { appendBytes(out.data, bytes); });
-  sendReply(conn, encode(out));
+                      [&out](ByteView bytes) { appendBytes(out, bytes); });
+  const SplitPayload reply = encodeRestoreData(out);
+  sendReply(conn, reply.head, reply.data);
 }
 
 void FreqDedupServer::handleDelete(const std::shared_ptr<Conn>& conn,

@@ -136,7 +136,9 @@ class FreqDedupServer {
   /// deferred (the connection stays busy until a completion callback
   /// finishes it).
   bool dispatch(const std::shared_ptr<Conn>& conn, ByteView payload);
-  void sendReply(const std::shared_ptr<Conn>& conn, ByteView payload);
+  /// Sends the payload `head ++ tail` as one frame.
+  void sendReply(const std::shared_ptr<Conn>& conn, ByteView head,
+                 ByteView tail = {});
   void sendError(const std::shared_ptr<Conn>& conn, ErrorCode code,
                  const std::string& message);
   void rearm(const std::shared_ptr<Conn>& conn);

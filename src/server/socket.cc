@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -211,23 +212,58 @@ void writeFull(int fd, const uint8_t* buf, size_t n) {
   }
 }
 
-std::optional<ByteVec> readFrame(int fd) {
+bool readFrame(int fd, ByteVec& payload) {
   uint8_t header[kFrameHeaderBytes];
-  if (!readFull(fd, header, sizeof(header))) return std::nullopt;
+  if (!readFull(fd, header, sizeof(header))) return false;
   const ByteView hv(header, sizeof(header));
   const uint32_t crc = getU32(hv, 0);
   const uint32_t len = getU32(hv, 4);
   if (len > kMaxFrameBytes) throw WireError("frame length exceeds cap");
-  ByteVec payload(len);
+  payload.resize(len);  // keeps the capacity of earlier, larger frames
   if (len > 0 && !readFull(fd, payload.data(), len))
     throw std::runtime_error("read: EOF inside frame payload");
   if (crc32c(payload) != crc) throw WireError("frame CRC mismatch");
+  return true;
+}
+
+std::optional<ByteVec> readFrame(int fd) {
+  ByteVec payload;
+  if (!readFrame(fd, payload)) return std::nullopt;
   return payload;
 }
 
-void writeFrame(int fd, ByteView payload) {
-  const ByteVec frame = encodeFrame(payload);
-  writeFull(fd, frame.data(), frame.size());
+void writeFrame(int fd, ByteView head, ByteView tail) {
+  // Header and payload pieces leave in one gather write, so the payload is
+  // never copied into a framed buffer.
+  const FrameHeader header = encodeFrameHeader(head, tail);
+  iovec iov[3];
+  int count = 0;
+  for (const ByteView piece : {ByteView(header), head, tail})
+    if (!piece.empty())
+      iov[count++] = {const_cast<uint8_t*>(piece.data()), piece.size()};
+  iovec* next = iov;
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = static_cast<size_t>(count);
+#ifdef MSG_NOSIGNAL
+    ssize_t put = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+#else
+    ssize_t put = ::sendmsg(fd, &msg, 0);
+#endif
+    if (put < 0) {
+      if (errno == EINTR) continue;
+      throwErrno("write");
+    }
+    // Skip what went out: whole iovecs first, then into a partial one.
+    for (; count > 0 && static_cast<size_t>(put) >= next->iov_len;
+         ++next, --count)
+      put -= static_cast<ssize_t>(next->iov_len);
+    if (count > 0) {
+      next->iov_base = static_cast<uint8_t*>(next->iov_base) + put;
+      next->iov_len -= static_cast<size_t>(put);
+    }
+  }
 }
 
 }  // namespace freqdedup::server

@@ -60,13 +60,17 @@ bool readFull(int fd, uint8_t* buf, size_t n);
 /// suppressed via MSG_NOSIGNAL / send().
 void writeFull(int fd, const uint8_t* buf, size_t n);
 
-/// Reads one complete frame and returns its verified payload. Returns
-/// nullopt on clean EOF at a frame boundary; throws WireError on CRC
-/// mismatch or oversize length, std::runtime_error on mid-frame EOF or I/O
-/// error.
+/// Reads one complete frame into `payload` (resized to the frame, so a
+/// buffer reused across frames keeps its capacity) and verifies it. Returns
+/// false on clean EOF at a frame boundary; throws WireError on CRC mismatch
+/// or oversize length, std::runtime_error on mid-frame EOF or I/O error.
+bool readFrame(int fd, ByteVec& payload);
+
+/// As above, into a fresh buffer; nullopt on clean EOF.
 std::optional<ByteVec> readFrame(int fd);
 
-/// Frames and writes one payload.
-void writeFrame(int fd, ByteView payload);
+/// Frames and writes the payload `head ++ tail` (e.g. a SplitPayload):
+/// header and pieces in one gather write, without copying either piece.
+void writeFrame(int fd, ByteView head, ByteView tail = {});
 
 }  // namespace freqdedup::server

@@ -44,11 +44,15 @@ std::string WireReader::str(size_t maxBytes) {
 }
 
 ByteVec WireReader::bytes(size_t maxBytes) {
+  const ByteView b = bytesView(maxBytes);
+  return ByteVec(b.begin(), b.end());
+}
+
+ByteView WireReader::bytesView(size_t maxBytes) {
   const uint64_t len = varint();
   if (len > maxBytes) throw WireError("byte field exceeds cap");
   if (len > remaining()) throw WireError("byte field length exceeds payload");
-  ByteVec b(in_.begin() + static_cast<ptrdiff_t>(pos_),
-            in_.begin() + static_cast<ptrdiff_t>(pos_ + len));
+  const ByteView b = in_.subspan(pos_, static_cast<size_t>(len));
   pos_ += static_cast<size_t>(len);
   return b;
 }
@@ -59,12 +63,25 @@ void WireReader::expectEnd() const {
 
 // ---- Frame codec ----
 
+FrameHeader encodeFrameHeader(ByteView head, ByteView tail) {
+  if (head.size() > kMaxFrameBytes ||
+      tail.size() > kMaxFrameBytes - head.size())
+    throw WireError("payload too large");
+  const uint32_t crc = crc32cExtend(crc32c(head), tail);
+  const auto len = static_cast<uint32_t>(head.size() + tail.size());
+  FrameHeader header;
+  for (int i = 0; i < 4; ++i) {  // both fields little-endian, like putU32
+    header[i] = static_cast<uint8_t>(crc >> (8 * i));
+    header[4 + i] = static_cast<uint8_t>(len >> (8 * i));
+  }
+  return header;
+}
+
 ByteVec encodeFrame(ByteView payload) {
-  if (payload.size() > kMaxFrameBytes) throw WireError("payload too large");
+  const FrameHeader header = encodeFrameHeader(payload);
   ByteVec frame;
   frame.reserve(kFrameHeaderBytes + payload.size());
-  putU32(frame, crc32c(payload));
-  putU32(frame, static_cast<uint32_t>(payload.size()));
+  appendBytes(frame, header);
   appendBytes(frame, payload);
   return frame;
 }
@@ -114,11 +131,6 @@ WireReader open(ByteView payload, MsgType expect, const char* what) {
 void putStr(ByteVec& out, const std::string& s) {
   putVarint(out, s.size());
   appendBytes(out, toBytes(s));
-}
-
-void putBytesField(ByteVec& out, ByteView b) {
-  putVarint(out, b.size());
-  appendBytes(out, b);
 }
 
 /// Decoder for the five messages that are just {type, u64 id}.
@@ -197,20 +209,41 @@ BackupOpened decodeBackupOpened(ByteView payload) {
   return {decodeIdOnly(payload, MsgType::kBackupOpened, "BackupOpened")};
 }
 
-ByteVec encode(const BackupAppend& m) {
-  ByteVec out = begin(MsgType::kBackupAppend);
-  putU64(out, m.backupId);
-  putBytesField(out, m.data);
+namespace {
+
+ByteVec joined(const SplitPayload& p) {
+  ByteVec out;
+  out.reserve(p.head.size() + p.data.size());
+  appendBytes(out, p.head);
+  appendBytes(out, p.data);
   return out;
 }
 
-BackupAppend decodeBackupAppend(ByteView payload) {
+}  // namespace
+
+SplitPayload encodeBackupAppend(uint64_t backupId, ByteView data) {
+  SplitPayload p{begin(MsgType::kBackupAppend), data};
+  putU64(p.head, backupId);
+  putVarint(p.head, data.size());
+  return p;
+}
+
+ByteVec encode(const BackupAppend& m) {
+  return joined(encodeBackupAppend(m.backupId, m.data));
+}
+
+BackupAppendView decodeBackupAppendView(ByteView payload) {
   WireReader r = open(payload, MsgType::kBackupAppend, "BackupAppend");
-  BackupAppend m;
+  BackupAppendView m;
   m.backupId = r.u64();
-  m.data = r.bytes(kMaxDataBytes);
+  m.data = r.bytesView(kMaxDataBytes);
   r.expectEnd();
   return m;
+}
+
+BackupAppend decodeBackupAppend(ByteView payload) {
+  const BackupAppendView v = decodeBackupAppendView(payload);
+  return {v.backupId, ByteVec(v.data.begin(), v.data.end())};
 }
 
 ByteVec encode(const BackupFinish& m) {
@@ -301,18 +334,26 @@ RestoreRange decodeRestoreRange(ByteView payload) {
   return m;
 }
 
+SplitPayload encodeRestoreData(ByteView data) {
+  SplitPayload p{begin(MsgType::kRestoreData), data};
+  putVarint(p.head, data.size());
+  return p;
+}
+
 ByteVec encode(const RestoreData& m) {
-  ByteVec out = begin(MsgType::kRestoreData);
-  putBytesField(out, m.data);
-  return out;
+  return joined(encodeRestoreData(m.data));
+}
+
+ByteView decodeRestoreDataView(ByteView payload) {
+  WireReader r = open(payload, MsgType::kRestoreData, "RestoreData");
+  const ByteView data = r.bytesView(kMaxDataBytes);
+  r.expectEnd();
+  return data;
 }
 
 RestoreData decodeRestoreData(ByteView payload) {
-  WireReader r = open(payload, MsgType::kRestoreData, "RestoreData");
-  RestoreData m;
-  m.data = r.bytes(kMaxDataBytes);
-  r.expectEnd();
-  return m;
+  const ByteView data = decodeRestoreDataView(payload);
+  return {ByteVec(data.begin(), data.end())};
 }
 
 ByteVec encode(const RestoreClose& m) {

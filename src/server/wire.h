@@ -23,6 +23,7 @@
 // socket in bounded frames.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -215,6 +216,8 @@ class WireReader {
   uint64_t varint();
   std::string str(size_t maxBytes);
   ByteVec bytes(size_t maxBytes);
+  /// Like bytes(), but a view into the payload instead of a copy.
+  ByteView bytesView(size_t maxBytes);
 
   [[nodiscard]] size_t remaining() const { return in_.size() - pos_; }
 
@@ -228,6 +231,16 @@ class WireReader {
 
 // ---- Frame codec (pure; socket I/O lives in socket.h) ----
 
+/// Frame header bytes (crc32c + payloadLen).
+inline constexpr size_t kFrameHeaderBytes = 8;
+
+using FrameHeader = std::array<uint8_t, kFrameHeaderBytes>;
+
+/// The [crc][len] header that precedes the payload `head ++ tail` on the
+/// wire (the CRC runs across both pieces); throws WireError if the payload
+/// exceeds the frame cap.
+FrameHeader encodeFrameHeader(ByteView head, ByteView tail = {});
+
 /// Wraps a payload in the [crc][len][payload] frame.
 ByteVec encodeFrame(ByteView payload);
 
@@ -235,14 +248,35 @@ ByteVec encodeFrame(ByteView payload);
 /// length, CRC mismatch or trailing bytes after the frame.
 ByteVec decodeFrame(ByteView frame);
 
-/// Frame header bytes (crc32c + payloadLen).
-inline constexpr size_t kFrameHeaderBytes = 8;
-
 // ---- Message codecs ----
 
 /// Type tag of an encoded payload; throws WireError on an empty payload or
 /// an unknown tag.
 MsgType peekType(ByteView payload);
+
+/// A payload whose last field is a bulk byte field, split so the bulk
+/// bytes need not be copied: `head` is the encoding up to and including the
+/// field's length prefix, `data` the field's bytes (borrowed, not owned).
+/// head ++ data is exactly what encode() returns for the same message.
+struct SplitPayload {
+  ByteVec head;
+  ByteView data;
+};
+
+/// The split forms of encode(BackupAppend) and encode(RestoreData).
+SplitPayload encodeBackupAppend(uint64_t backupId, ByteView data);
+SplitPayload encodeRestoreData(ByteView data);
+
+/// A decoded BackupAppend whose data views the payload it was decoded from.
+struct BackupAppendView {
+  uint64_t backupId = 0;
+  ByteView data;
+};
+
+/// The copy-free forms of decodeBackupAppend() and decodeRestoreData(): the
+/// same checks, with the data field returned as a view into `payload`.
+BackupAppendView decodeBackupAppendView(ByteView payload);
+ByteView decodeRestoreDataView(ByteView payload);
 
 ByteVec encode(const Hello& m);
 ByteVec encode(const HelloOk& m);

@@ -1,5 +1,6 @@
 #include "storage/container.h"
 
+#include <cstring>
 #include <stdexcept>
 
 #include "common/check.h"
@@ -23,6 +24,12 @@ void putEntryTable(ByteVec& out, const Container& container) {
     putU32(out, e.size);
     putVarint(out, e.dataOffset);
   }
+}
+
+/// Upper bound on putEntryTable's output: a count varint, then per entry a
+/// u64, a u32 and an offset varint.
+size_t entryTableBound(const Container& container) {
+  return 10 + container.entries.size() * (8 + 4 + 10);
 }
 
 void parseEntryTable(ByteView body, size_t& offset, size_t bodySize,
@@ -65,11 +72,17 @@ void checkEntryExtents(const Container& container, uint64_t dataSize) {
 
 }  // namespace
 
-ByteVec serializeContainer(const Container& container, ContainerCodec codec) {
+ContainerFrame frameContainer(const Container& container,
+                              ContainerCodec codec) {
+  ContainerFrame frame;
   const ContainerCodec eff = effectiveCodec(codec);
   if (eff != ContainerCodec::kNone) {
     if (auto stored = compressBytes(eff, container.data)) {
-      ByteVec out;
+      // Header, entry table, two varints: sized up front so the compressed
+      // section is copied once into a buffer that never reallocates.
+      ByteVec& out = frame.head;
+      out.reserve(4 + 4 + 1 + entryTableBound(container) + 10 + 10 +
+                  stored->size());
       putU32(out, kContainerMagicV2);
       putU32(out, container.id);
       out.push_back(static_cast<uint8_t>(eff));
@@ -77,24 +90,40 @@ ByteVec serializeContainer(const Container& container, ContainerCodec codec) {
       putVarint(out, container.data.size());  // raw (decompressed) length
       putVarint(out, stored->size());
       appendBytes(out, *stored);
-      putU32(out, crc32c(out));
-      return out;
+      frame.crc = crc32c(out);
+      return frame;
     }
     // Compression would not shrink the payload (or there is none): fall
     // through to the legacy frame, so incompressible containers pay no
     // codec overhead and trace-mode containers stay legacy-readable.
   }
-  ByteVec out;
+  ByteVec& out = frame.head;
+  out.reserve(4 + 4 + entryTableBound(container) + 10);
   putU32(out, kContainerMagic);
   putU32(out, container.id);
   putEntryTable(out, container);
   putVarint(out, container.data.size());
-  appendBytes(out, container.data);
-  putU32(out, crc32c(out));
+  frame.payload = container.data;
+  frame.crc = crc32cExtend(crc32c(out), frame.payload);
+  return frame;
+}
+
+ByteVec serializeContainer(const Container& container, ContainerCodec codec) {
+  const ContainerFrame frame = frameContainer(container, codec);
+  ByteVec out;
+  out.reserve(frame.size());
+  appendBytes(out, frame.head);
+  appendBytes(out, frame.payload);
+  putU32(out, frame.crc);
   return out;
 }
 
-Container parseContainer(ByteView bytes) {
+namespace {
+
+/// Validates a frame and parses everything but a legacy frame's data
+/// section, which is returned in `legacyData` (a view into `bytes`) for the
+/// caller to take; codec frames come back complete.
+Container parseFrame(ByteView bytes, ByteView& legacyData) {
   if (bytes.size() < 12)
     throw std::runtime_error("container: input too short");
   const size_t bodySize = bytes.size() - 4;
@@ -117,13 +146,11 @@ Container parseContainer(ByteView bytes) {
     const auto dataLen = getVarint(body, offset);
     if (!dataLen || *dataLen > bodySize - offset)
       throw std::runtime_error("container: truncated data");
-    container.data.assign(
-        body.begin() + static_cast<ptrdiff_t>(offset),
-        body.begin() + static_cast<ptrdiff_t>(offset + *dataLen));
+    legacyData = body.subspan(offset, static_cast<size_t>(*dataLen));
     offset += static_cast<size_t>(*dataLen);
     if (offset != bodySize)
       throw std::runtime_error("container: trailing garbage");
-    checkEntryExtents(container, container.data.size());
+    checkEntryExtents(container, legacyData.size());
     return container;
   }
 
@@ -164,6 +191,32 @@ Container parseContainer(ByteView bytes) {
   return container;
 }
 
+}  // namespace
+
+Container parseContainer(ByteView bytes) {
+  ByteView legacyData;
+  Container container = parseFrame(bytes, legacyData);
+  if (container.storageCodec == ContainerCodec::kNone)
+    container.data.assign(legacyData.begin(), legacyData.end());
+  return container;
+}
+
+Container parseContainer(ByteVec&& bytes) {
+  ByteView legacyData;
+  Container container = parseFrame(bytes, legacyData);
+  if (container.storageCodec == ContainerCodec::kNone) {
+    // Slide the data section to the front of the frame's own buffer and
+    // keep that buffer: no second allocation, and the header bytes it
+    // still reserves are a fraction of a percent of a full container.
+    const size_t size = legacyData.size();
+    if (size > 0)
+      std::memmove(bytes.data(), legacyData.data(), size);
+    bytes.resize(size);
+    container.data = std::move(bytes);
+  }
+  return container;
+}
+
 ContainerBuilder::ContainerBuilder(uint64_t capacityBytes)
     : capacityBytes_(capacityBytes) {
   FDD_CHECK(capacityBytes > 0);
@@ -176,10 +229,21 @@ size_t ContainerBuilder::add(Fp fp, uint32_t size, ByteView bytes) {
   e.fp = fp;
   e.size = size;
   e.dataOffset = data_.size();
-  if (!bytes.empty()) appendBytes(data_, bytes);
+  if (!bytes.empty()) {
+    if (data_.capacity() < capacityBytes_)
+      data_.reserve(static_cast<size_t>(capacityBytes_));
+    appendBytes(data_, bytes);
+  }
   entries_.push_back(e);
   pendingBytes_ += size;
   return entries_.size() - 1;
+}
+
+ByteView ContainerBuilder::payload(size_t entryIndex) const {
+  FDD_CHECK(entryIndex < entries_.size());
+  const ContainerEntry& e = entries_[entryIndex];
+  if (data_.empty()) return {};
+  return ByteView(data_).subspan(static_cast<size_t>(e.dataOffset), e.size);
 }
 
 bool ContainerBuilder::wouldOverflow(uint32_t size) const {
@@ -191,9 +255,9 @@ Container ContainerBuilder::seal(uint32_t id) {
   Container container;
   container.id = id;
   container.entries = std::move(entries_);
-  container.data = std::move(data_);
+  container.data.assign(data_.begin(), data_.end());
   entries_.clear();
-  data_.clear();
+  data_.clear();  // keeps the capacity
   pendingBytes_ = 0;
   return container;
 }

@@ -54,6 +54,30 @@ struct Container {
   }
 };
 
+/// A serialized container held as the pieces a writer emits in order:
+/// `head`, then `payload`, then `crc` as a little-endian u32. A legacy frame
+/// keeps the data section in place (`payload` views the container's own
+/// data, so the container must outlive the frame); a codec frame owns its
+/// compressed section inside `head` and leaves `payload` empty. The pieces
+/// concatenate to exactly serializeContainer()'s bytes.
+struct ContainerFrame {
+  ByteVec head;
+  ByteView payload;
+  uint32_t crc = 0;
+
+  [[nodiscard]] bool isCodecFrame() const {
+    return head.size() >= 4 && getU32(head, 0) == kContainerMagicV2;
+  }
+  [[nodiscard]] uint64_t size() const {
+    return head.size() + payload.size() + 4;
+  }
+};
+
+/// Frames a container without copying its data section; see
+/// serializeContainer for the format choice.
+ContainerFrame frameContainer(const Container& container,
+                              ContainerCodec codec = ContainerCodec::kNone);
+
 /// Serializes a container (header, entry table, data, trailing CRC). With a
 /// codec (after effectiveCodec mapping) the data section is compressed into
 /// a codec frame — unless compression would not shrink it, in which case the
@@ -68,6 +92,10 @@ ByteVec serializeContainer(const Container& container,
 /// extents are validated against the declared raw size before any
 /// decompression output is allocated.
 Container parseContainer(ByteView bytes);
+
+/// As above, taking the frame's buffer: a legacy frame's data section stays
+/// in it (moved to the front) instead of being copied out.
+Container parseContainer(ByteVec&& bytes);
 
 /// Accumulates chunks until the data payload reaches the capacity, then the
 /// caller seals it into a Container.
@@ -86,8 +114,15 @@ class ContainerBuilder {
   [[nodiscard]] uint64_t pendingBytes() const { return pendingBytes_; }
   [[nodiscard]] uint64_t capacityBytes() const { return capacityBytes_; }
 
+  /// Bytes of the pending chunk at `entryIndex` (empty in trace mode).
+  [[nodiscard]] ByteView payload(size_t entryIndex) const;
+
   /// Seals the accumulated chunks into a container with the given id and
-  /// resets the builder.
+  /// resets the builder. The container's data is an exact-size copy: the
+  /// builder keeps its own buffer (reserved to capacity on first use) for
+  /// the next container, so building never reallocates and a sealed
+  /// container — which the block cache may hold for a long time — occupies
+  /// no more memory than its payload.
   Container seal(uint32_t id);
 
  private:

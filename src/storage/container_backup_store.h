@@ -113,10 +113,14 @@ class ContainerBackupStore : public BackupStore {
     uint32_t refs = 0;
   };
 
+  /// A staged chunk; its bytes live in builder_ until the seal.
   struct OpenChunk {
-    ByteVec bytes;
+    uint32_t entryIndex = 0;  // in builder_
     uint32_t refs = 0;  // carried refcount (non-zero only during GC)
   };
+
+  /// Copy of a staged chunk's bytes. Requires mu_.
+  [[nodiscard]] ByteVec openChunkBytesLocked(const OpenChunk& chunk) const;
 
   static ByteVec chunkKey(Fp fp);
   static ByteVec encodeChunkEntry(const ChunkEntry& e);
@@ -165,7 +169,8 @@ class ContainerBackupStore : public BackupStore {
   /// Reads + parses a container (either tier) and validates its id; throws
   /// std::runtime_error on any mismatch or I/O/parse failure. `fromCold`
   /// (optional) reports the serving tier; `rawBytes` (optional) hands back
-  /// the frame bytes for promotion.
+  /// a cold-tier frame's bytes for promotion (it is left empty for a hot
+  /// frame, whose buffer the container's data reuses).
   [[nodiscard]] std::shared_ptr<const Container> parseContainerFile(
       uint32_t id, bool* fromCold = nullptr, ByteVec* rawBytes = nullptr) const;
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "cdc_reference.h"
 #include "common/rng.h"
 
 namespace freqdedup {
@@ -54,52 +57,106 @@ TEST(RabinPoly, MulByOneIsIdentityModP) {
   }
 }
 
-TEST(RabinWindow, DeterministicAcrossInstances) {
-  RabinWindow w1(48), w2(48);
-  Rng rng(7);
-  for (int i = 0; i < 500; ++i) {
-    const auto b = static_cast<uint8_t>(rng.next());
-    EXPECT_EQ(w1.slide(b), w2.slide(b));
+// Rolls `data` through `w` the way the CDC scan kernel does: the expiring
+// byte is read back from the input, and nothing expires while the window is
+// still filling. Calls `each(i, fp)` with the fingerprint after byte i.
+template <typename F>
+uint64_t rollOver(const RabinWindow& w, ByteView data, F&& each) {
+  const size_t n = w.windowSize();
+  uint64_t fp = 0;
+  for (size_t i = 0; i < data.size(); ++i) {
+    fp = i < n ? w.append(fp, data[i]) : w.roll(fp, data[i - n], data[i]);
+    each(i, fp);
+  }
+  return fp;
+}
+
+uint64_t rollOver(const RabinWindow& w, ByteView data) {
+  return rollOver(w, data, [](size_t, uint64_t) {});
+}
+
+ByteVec randomBytes(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  ByteVec out(n);
+  for (auto& b : out) b = static_cast<uint8_t>(rng.next());
+  return out;
+}
+
+// The tables against the frozen ring-buffer window that defined every chunk
+// boundary: rolling with the expiring byte read from the input must give
+// the ring buffer's fingerprint after every byte.
+TEST(RabinWindow, RollMatchesFrozenRingBufferSlide) {
+  for (const uint32_t window : {2u, 31u, 48u, 64u}) {
+    const RabinWindow w(window);
+    reference::RingRabinWindow ring(window, kDefaultRabinPoly);
+    const ByteVec data = randomBytes(window, 5000);
+    rollOver(w, data, [&](size_t i, uint64_t fp) {
+      ASSERT_EQ(fp, ring.slide(data[i])) << "window " << window << " byte " << i;
+    });
   }
 }
 
-// The defining property of a rolling hash: after sliding in enough bytes,
+// roll() is the windowed form of append(): after any history, the rolled
+// fingerprint equals appending just the last windowSize bytes from 0.
+TEST(RabinWindow, RollEqualsAppendOfLastWindowFromZero) {
+  const RabinWindow w(48);
+  const ByteVec data = randomBytes(8, 600);
+  rollOver(w, data, [&](size_t i, uint64_t fp) {
+    if (i + 1 < w.windowSize()) return;
+    uint64_t fresh = 0;
+    for (size_t j = i + 1 - w.windowSize(); j <= i; ++j)
+      fresh = w.append(fresh, data[j]);
+    ASSERT_EQ(fp, fresh) << "byte " << i;
+  });
+}
+
+TEST(RabinWindow, DeterministicAcrossInstances) {
+  const RabinWindow w1(48), w2(48);
+  const ByteVec data = randomBytes(7, 500);
+  std::vector<uint64_t> fps;
+  rollOver(w1, data, [&](size_t, uint64_t fp) { fps.push_back(fp); });
+  rollOver(w2, data, [&](size_t i, uint64_t fp) { EXPECT_EQ(fp, fps[i]); });
+}
+
+// The defining property of a rolling hash: after rolling in enough bytes,
 // the fingerprint depends only on the last `window` bytes.
 TEST(RabinWindow, FingerprintDependsOnlyOnWindow) {
   const uint32_t window = 32;
-  Rng rng(11);
-  ByteVec tail(window);
-  for (auto& b : tail) b = static_cast<uint8_t>(rng.next());
+  const RabinWindow w(window);
+  const ByteVec tail = randomBytes(11, window);
 
-  RabinWindow w1(window);
-  // Prefix A then the tail.
-  for (int i = 0; i < 1000; ++i) w1.slide(static_cast<uint8_t>(rng.next()));
-  for (const uint8_t b : tail) w1.slide(b);
+  // Prefix A then the tail, and a different prefix B then the same tail.
+  ByteVec a = randomBytes(12, 1000);
+  ByteVec b = randomBytes(13, 777);
+  appendBytes(a, tail);
+  appendBytes(b, tail);
 
-  RabinWindow w2(window);
-  // Different prefix B then the same tail.
-  for (int i = 0; i < 777; ++i) w2.slide(static_cast<uint8_t>(~rng.next()));
-  for (const uint8_t b : tail) w2.slide(b);
-
-  EXPECT_EQ(w1.fingerprint(), w2.fingerprint());
+  EXPECT_EQ(rollOver(w, a), rollOver(w, b));
 }
 
-TEST(RabinWindow, ResetRestoresInitialState) {
-  RabinWindow w(48);
-  const uint64_t afterOne = w.slide(0xAB);
-  w.slide(0xCD);
-  w.reset();
-  EXPECT_EQ(w.fingerprint(), 0u);
-  EXPECT_EQ(w.slide(0xAB), afterOne);
+// Zero bytes contribute nothing, so a window of zeros is a fresh window
+// (fingerprint 0) and expiring a zero byte is a plain append — what lets
+// the scan kernel start hashing partway into a chunk.
+TEST(RabinWindow, ZeroBytesContributeNothing) {
+  const RabinWindow w(48);
+  EXPECT_EQ(w.append(0, 0), 0u);
+  EXPECT_EQ(rollOver(w, ByteVec(200, 0)), 0u);
+  Rng rng(14);
+  for (int i = 0; i < 100; ++i) {
+    const uint64_t fp = rng.next() >> 11;  // a residue below degree 53
+    const auto in = static_cast<uint8_t>(rng.next());
+    EXPECT_EQ(w.roll(fp, 0, in), w.append(fp, in));
+  }
 }
 
 TEST(RabinWindow, DifferentContentDifferentFingerprint) {
-  RabinWindow w1(48), w2(48);
+  const RabinWindow w(48);
+  ByteVec a(100), b(100);
   for (int i = 0; i < 100; ++i) {
-    w1.slide(static_cast<uint8_t>(i));
-    w2.slide(static_cast<uint8_t>(i + 1));
+    a[i] = static_cast<uint8_t>(i);
+    b[i] = static_cast<uint8_t>(i + 1);
   }
-  EXPECT_NE(w1.fingerprint(), w2.fingerprint());
+  EXPECT_NE(rollOver(w, a), rollOver(w, b));
 }
 
 TEST(RabinWindow, RejectsTinyWindow) {
@@ -108,12 +165,9 @@ TEST(RabinWindow, RejectsTinyWindow) {
 
 TEST(RabinWindow, FingerprintStaysBelowPolyDegreeBound) {
   // All fingerprints are residues mod a degree-53 polynomial.
-  RabinWindow w(48);
-  Rng rng(13);
-  for (int i = 0; i < 2000; ++i) {
-    const uint64_t fp = w.slide(static_cast<uint8_t>(rng.next()));
-    EXPECT_LT(fp, 1ULL << 54);
-  }
+  const RabinWindow w(48);
+  rollOver(w, randomBytes(13, 2000),
+           [](size_t, uint64_t fp) { EXPECT_LT(fp, 1ULL << 54); });
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "common/varint.h"
@@ -128,6 +129,60 @@ TEST(Wire, AllMessagesRoundTrip) {
         encode(ErrorReply{ErrorCode::kQuotaExceeded, "too big"}));
     EXPECT_EQ(out.code, ErrorCode::kQuotaExceeded);
     EXPECT_EQ(out.message, "too big");
+  }
+}
+
+// The split encoders are the byte-field messages' encode() in two pieces,
+// and the view decoders return the same fields as the copying ones.
+TEST(Wire, SplitEncodersAndViewDecodersMatchCopyingForms) {
+  const ByteVec data = toBytes("bulk bytes of an append or a range");
+  {
+    const SplitPayload split = encodeBackupAppend(7, data);
+    ByteVec joined = split.head;
+    appendBytes(joined, split.data);
+    EXPECT_EQ(joined, encode(BackupAppend{7, data}));
+    EXPECT_EQ(split.data.data(), data.data());
+    const BackupAppendView view = decodeBackupAppendView(joined);
+    EXPECT_EQ(view.backupId, 7u);
+    EXPECT_EQ(ByteVec(view.data.begin(), view.data.end()), data);
+    EXPECT_EQ(view.data.data(), joined.data() + split.head.size());
+  }
+  {
+    const SplitPayload split = encodeRestoreData(data);
+    ByteVec joined = split.head;
+    appendBytes(joined, split.data);
+    EXPECT_EQ(joined, encode(RestoreData{data}));
+    const ByteView view = decodeRestoreDataView(joined);
+    EXPECT_EQ(ByteVec(view.begin(), view.end()), data);
+    EXPECT_EQ(view.data(), joined.data() + split.head.size());
+  }
+}
+
+TEST(Wire, ViewDecodersRejectWhatCopyingDecodersReject) {
+  const ByteVec append = encode(BackupAppend{7, toBytes("abc")});
+  const ByteVec range = encode(RestoreData{toBytes("abc")});
+  for (size_t len = 0; len < append.size(); ++len)
+    EXPECT_THROW(decodeBackupAppendView(ByteView(append.data(), len)),
+                 WireError)
+        << len;
+  for (size_t len = 0; len < range.size(); ++len)
+    EXPECT_THROW(decodeRestoreDataView(ByteView(range.data(), len)), WireError)
+        << len;
+  ByteVec extended = append;
+  extended.push_back(0);
+  EXPECT_THROW(decodeBackupAppendView(extended), WireError);
+  EXPECT_THROW(decodeRestoreDataView(append), WireError);  // wrong type
+}
+
+TEST(Wire, FrameHeaderSpansBothPieces) {
+  const ByteVec payload = toBytes("head|tail of one payload");
+  const ByteView all(payload);
+  const ByteVec frame = encodeFrame(payload);
+  for (size_t split = 0; split <= payload.size(); ++split) {
+    const FrameHeader header =
+        encodeFrameHeader(all.subspan(0, split), all.subspan(split));
+    EXPECT_TRUE(std::equal(header.begin(), header.end(), frame.begin()))
+        << split;
   }
 }
 
